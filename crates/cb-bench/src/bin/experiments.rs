@@ -153,9 +153,21 @@ fn run_json(path: &str, selection: &[String]) {
 
     if want("e1") {
         let p = prepared_projdept(50, 10, 25);
-        records.push(measure("e1_projdept_optimize", ITERS, || {
+        let mut rec = measure("e1_projdept_optimize", ITERS, || {
             Some(p.optimizer().optimize(&p.query).unwrap().cache)
-        }));
+        });
+        // The deterministic work counter comes from an explicitly
+        // sequential run, so the record is independent of
+        // CB_SEARCH_THREADS in the environment.
+        let sequential = cb_optimizer::OptimizerConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let out = Optimizer::with_config(&p.catalog, sequential)
+            .optimize(&p.query)
+            .unwrap();
+        rec.extra = vec![("trigger_checks", out.cache.trigger_checks)];
+        records.push(rec);
     }
     if want("e4") {
         let q = parse_query(
@@ -222,7 +234,7 @@ fn run_json(path: &str, selection: &[String]) {
             ..Default::default()
         };
         // The measured runs also supply the counters the record carries.
-        let mut guided = (0u64, 0u64, f64::NAN);
+        let mut guided = (0u64, 0u64, f64::NAN, 0u64);
         let mut rec = measure("e14_cost_guided_optimize", ITERS, || {
             let out = Optimizer::with_config(&p.catalog, config.clone())
                 .optimize(&p.query)
@@ -231,6 +243,7 @@ fn run_json(path: &str, selection: &[String]) {
                 out.nodes_visited as u64,
                 out.nodes_pruned_by_cost as u64,
                 out.best.cost,
+                out.cache.trigger_checks,
             );
             Some(out.cache)
         });
@@ -240,6 +253,7 @@ fn run_json(path: &str, selection: &[String]) {
             ("nodes_visited", guided.0),
             ("nodes_pruned_by_cost", guided.1),
             ("exhaustive_nodes_visited", full.nodes_visited as u64),
+            ("trigger_checks", guided.3),
         ];
         records.push(rec);
     }

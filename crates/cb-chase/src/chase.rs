@@ -18,7 +18,7 @@
 //! steps and size, and [`ChaseOutcome::complete`] reports whether a
 //! fixpoint was reached.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use pcql::idgen::VarGen;
 use pcql::path::Path;
@@ -26,7 +26,7 @@ use pcql::query::{Binding, Equality, Query};
 use pcql::Dependency;
 
 use crate::canon::QueryGraph;
-use crate::hom::{extension_exists, find_matching_hom, Assignment};
+use crate::hom::{extension_exists, find_matching_hom_indexed, Assignment};
 
 /// Budgets for the chase (and for the implication checks that reuse it).
 ///
@@ -91,6 +91,17 @@ pub struct ChaseOutcome {
 /// [`ChaseContext`](crate::ChaseContext) keeps one `ChaseState` per
 /// alpha-normalized query so later checks resume where earlier ones
 /// stopped.
+///
+/// **Monotonicity invariant.** A state only ever grows: a step adds
+/// bindings and conditions (interning terms and merging classes of the
+/// graph), and nothing is removed or renamed until [`finalize`]
+/// coalesces a *copy* of the query. Every trigger of an earlier graph is
+/// therefore still a trigger, and every extension witnessed earlier is
+/// still an extension. The state's [`TriggerMemo`] relies on this: a
+/// trigger whose extension was once found never needs re-checking, so
+/// each trigger is extension-checked at most once per state.
+///
+/// [`finalize`]: ChaseState::finalize
 #[derive(Debug, Clone)]
 pub(crate) struct ChaseState {
     pub query: Query,
@@ -98,7 +109,34 @@ pub(crate) struct ChaseState {
     pub steps: Vec<ChaseStepTrace>,
     /// Confirmed: no applicable trigger remains.
     pub fixpoint: bool,
+    pub triggers: TriggerMemo,
 }
+
+/// The triggers of one [`ChaseState`] known to be satisfied, plus the
+/// number of extension checks run on that state.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TriggerMemo {
+    /// Triggers whose extension exists — found by a check, or added by
+    /// firing the trigger's own step. A trigger is keyed compactly as
+    /// its dependency index followed by the indices of the membership
+    /// facts its universal bindings matched (see [`TriggerKey`]).
+    satisfied: HashSet<TriggerKey>,
+    /// Extension checks run since the owner last collected the count
+    /// (a deterministic work counter).
+    checks: u64,
+}
+
+impl TriggerMemo {
+    /// The extension checks run since the last call.
+    pub fn take_checks(&mut self) -> u64 {
+        std::mem::take(&mut self.checks)
+    }
+}
+
+/// `[dependency index, membership-fact index per universal binding…]`.
+/// Membership facts are only appended, so the key names the same
+/// trigger for the whole life of a [`ChaseState`].
+pub(crate) type TriggerKey = Box<[u32]>;
 
 impl ChaseState {
     pub fn new(q: &Query) -> ChaseState {
@@ -107,6 +145,7 @@ impl ChaseState {
             graph: QueryGraph::of_query(q),
             steps: Vec::new(),
             fixpoint: false,
+            triggers: TriggerMemo::default(),
         }
     }
 
@@ -127,14 +166,16 @@ impl ChaseState {
         if crate::faults::hit("chase::step").is_err() {
             crate::faults::note_recovered();
         }
-        match find_applicable_in(&mut self.graph, deps, cfg) {
+        match find_applicable_in(&mut self.graph, deps, cfg, &mut self.triggers) {
             None => {
                 self.fixpoint = true;
                 false
             }
-            Some((dep_idx, h)) => {
+            Some((dep_idx, h, key)) => {
                 let trace = apply_step_in(&mut self.query, &mut self.graph, &deps[dep_idx], &h);
                 self.steps.push(trace);
+                // The step just added the trigger's own witness.
+                self.triggers.satisfied.insert(key);
                 true
             }
         }
@@ -146,7 +187,7 @@ impl ChaseState {
         if self.fixpoint {
             return true;
         }
-        if find_applicable_in(&mut self.graph, deps, cfg).is_none() {
+        if find_applicable_in(&mut self.graph, deps, cfg, &mut self.triggers).is_none() {
             self.fixpoint = true;
         }
         self.fixpoint
@@ -185,7 +226,7 @@ pub fn chase(q: &Query, deps: &[Dependency], cfg: &ChaseConfig) -> ChaseOutcome 
 pub fn chase_step(q: &Query, dep: &Dependency, cfg: &ChaseConfig) -> Option<Query> {
     let deps = [dep.clone()];
     let mut graph = QueryGraph::of_query(q);
-    let (idx, h) = find_applicable_in(&mut graph, &deps, cfg)?;
+    let (idx, h, _) = find_applicable_in(&mut graph, &deps, cfg, &mut TriggerMemo::default())?;
     debug_assert_eq!(idx, 0);
     let mut query = q.clone();
     apply_step_in(&mut query, &mut graph, dep, &h);
@@ -200,27 +241,53 @@ pub fn chase_step(q: &Query, dep: &Dependency, cfg: &ChaseConfig) -> Option<Quer
 /// database of the current query; triggers are searched directly on it
 /// (extra interned paths from earlier searches are harmless — they never
 /// introduce unions).
+///
+/// `memo` must belong to the state `graph` is the database of, chased
+/// with this same `deps` slice (keys name dependencies by index). Triggers
+/// it holds are skipped without an extension check (sound by the
+/// monotonicity invariant on [`ChaseState`]); every check that finds an
+/// extension is added to it. Skipping happens inside the acceptance
+/// test, after the hom search has counted the trigger against
+/// `max_homs`, so the budget and the order in which triggers are
+/// examined are exactly those of an unmemoized scan.
 pub(crate) fn find_applicable_in(
     graph: &mut QueryGraph,
     deps: &[Dependency],
     cfg: &ChaseConfig,
-) -> Option<(usize, Assignment)> {
+    memo: &mut TriggerMemo,
+) -> Option<(usize, Assignment, TriggerKey)> {
+    let mut key: Vec<u32> = Vec::new();
     let ordered = deps
         .iter()
         .enumerate()
         .filter(|(_, d)| d.is_egd())
         .chain(deps.iter().enumerate().filter(|(_, d)| !d.is_egd()));
     for (i, dep) in ordered {
-        let found = find_matching_hom(
+        let found = find_matching_hom_indexed(
             graph,
             &dep.forall,
             &dep.premise,
             &BTreeMap::new(),
             cfg.max_homs,
-            &mut |g, h| !extension_exists(g, &dep.exists, &dep.conclusion, h),
+            &mut |g, h, facts| {
+                key.clear();
+                let index =
+                    |n: usize| u32::try_from(n).expect("dependency and fact indices fit u32");
+                key.push(index(i));
+                key.extend(facts.iter().map(|&f| index(f)));
+                if memo.satisfied.contains(key.as_slice()) {
+                    return false;
+                }
+                memo.checks += 1;
+                if extension_exists(g, &dep.exists, &dep.conclusion, h) {
+                    memo.satisfied.insert(key.as_slice().into());
+                    return false;
+                }
+                true
+            },
         );
         if let Some(h) = found {
-            return Some((i, h));
+            return Some((i, h, key.into_boxed_slice()));
         }
     }
     None

@@ -95,6 +95,16 @@ pub struct CacheStats {
     /// Shards shed (all memo entries dropped) under memory pressure —
     /// either the approximate byte limit or an injected pressure signal.
     pub pressure_sheds: u64,
+    /// Chase triggers extension-checked ("is this trigger already
+    /// satisfied?") across every chase the core ran — phase 1, lazy
+    /// containment chases and implication proofs. A deterministic work
+    /// counter, not a memo lookup: it stays out of [`hits`] and
+    /// [`misses`]. Each trigger is checked at most once per resumable
+    /// chase state.
+    ///
+    /// [`hits`]: CacheStats::hits
+    /// [`misses`]: CacheStats::misses
+    pub trigger_checks: u64,
 }
 
 impl CacheStats {
@@ -116,6 +126,7 @@ impl CacheStats {
         self.poison_recoveries += other.poison_recoveries;
         self.checkout_retries += other.checkout_retries;
         self.pressure_sheds += other.pressure_sheds;
+        self.trigger_checks += other.trigger_checks;
     }
 
     /// Total memo hits across all three caches.
@@ -389,6 +400,7 @@ impl ChaseContext {
         if entry.outcome.is_none() {
             while entry.state.step(&self.deps, &self.cfg) {}
             entry.outcome = Some(entry.state.finalize(&self.deps, &self.cfg));
+            self.stats.trigger_checks += entry.state.triggers.take_checks();
         }
         entry.outcome.clone().expect("outcome just finalized")
     }
@@ -426,6 +438,7 @@ impl ChaseContext {
                 break false;
             }
         };
+        self.stats.trigger_checks += entry.state.triggers.take_checks();
         if self.caching {
             insert_bounded(
                 &mut self.containment,
@@ -460,7 +473,7 @@ impl ChaseContext {
             }
         }
         self.stats.implication_misses += 1;
-        let v = implies_uncached(&self.deps, sigma, &self.cfg);
+        let v = implies_uncached(&self.deps, sigma, &self.cfg, &mut self.stats.trigger_checks);
         if self.caching {
             insert_bounded(
                 &mut self.implication,

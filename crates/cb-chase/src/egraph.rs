@@ -12,9 +12,15 @@
 //! * **containment mappings** — compare images of paths up to the
 //!   where-clause congruence.
 //!
-//! Sizes are tiny (a universal plan has tens of terms), so we favour a
-//! simple rebuild-to-fixpoint implementation over incremental congruence
-//! maintenance.
+//! Congruence is maintained incrementally, in the style of egg's
+//! rebuild: every class keeps a *use-list* of the nodes that have it as a
+//! child, and a union re-canonicalizes only the nodes on the losing
+//! class's use-list, merging any that collide (a worklist, to fixpoint).
+//! The smaller id always stays the root, so each class's id is its
+//! minimum node id and the partition, the node table and every
+//! extraction are exactly those of a full re-canonicalization after each
+//! union — a test-only oracle that does exactly that keeps the claim
+//! checked.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,6 +31,9 @@ pub type ClassId = usize;
 
 /// Node id (index into the node table).
 pub type NodeId = usize;
+
+/// End of a use-list.
+const NIL: u32 = u32::MAX;
 
 /// A hash-consed path constructor whose children are e-class ids.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,12 +48,13 @@ pub enum ENode {
 }
 
 impl ENode {
-    fn children(&self) -> Vec<ClassId> {
-        match self {
-            ENode::Var(_) | ENode::Const(_) | ENode::Root(_) => vec![],
-            ENode::Field(c, _) | ENode::Dom(c) => vec![*c],
-            ENode::Get(a, b) | ENode::GetOrEmpty(a, b) => vec![*a, *b],
-        }
+    fn children(&self) -> impl Iterator<Item = ClassId> {
+        let (a, b) = match self {
+            ENode::Var(_) | ENode::Const(_) | ENode::Root(_) => (None, None),
+            ENode::Field(c, _) | ENode::Dom(c) => (Some(*c), None),
+            ENode::Get(a, b) | ENode::GetOrEmpty(a, b) => (Some(*a), Some(*b)),
+        };
+        a.into_iter().chain(b)
     }
 
     fn map_children(&self, mut f: impl FnMut(ClassId) -> ClassId) -> ENode {
@@ -63,11 +73,21 @@ impl ENode {
 pub struct EGraph {
     /// Union-find parents over node ids (class id = canonical node id).
     parent: Vec<NodeId>,
-    /// Node table; children ids may become stale after unions and are
-    /// canonicalized on read.
+    /// Node table. Between public calls every entry is canonical (its
+    /// children are class roots); a union re-canonicalizes the entries
+    /// it makes stale.
     nodes: Vec<ENode>,
-    /// Canonical enode -> node id memo.
+    /// Canonical enode -> node id memo: one key per distinct canonical
+    /// node, mapping to a node of its class.
     memo: BTreeMap<ENode, NodeId>,
+    /// Use-lists, indexed by class root: the nodes with a child in that
+    /// class, as singly linked lists through `use_links` (one
+    /// `(user node, next link)` entry per child slot), so the lists cost
+    /// three flat tables rather than an allocation per class. A union
+    /// splices the losing root's list onto the winner's.
+    use_head: Vec<u32>,
+    use_tail: Vec<u32>,
+    use_links: Vec<(u32, u32)>,
 }
 
 impl EGraph {
@@ -112,6 +132,18 @@ impl EGraph {
         let id = self.nodes.len();
         self.nodes.push(node.clone());
         self.parent.push(id);
+        self.use_head.push(NIL);
+        self.use_tail.push(NIL);
+        for child in node.children() {
+            let link = u32::try_from(self.use_links.len()).expect("use-list fits u32 indices");
+            let user = u32::try_from(id).expect("node table fits u32 indices");
+            self.use_links.push((user, NIL));
+            match self.use_tail[child] {
+                NIL => self.use_head[child] = link,
+                tail => self.use_links[tail as usize].1 = link,
+            }
+            self.use_tail[child] = link;
+        }
         self.memo.insert(node, id);
         id
     }
@@ -149,40 +181,57 @@ impl EGraph {
         if ra == rb {
             return false;
         }
-        // Keep the smaller id as canonical for determinism.
-        let (keep, kill) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[kill] = keep;
-        self.rebuild();
+        let mut dirty = Vec::new();
+        self.link(ra, rb, &mut dirty);
+        self.repair(dirty);
         true
     }
 
-    /// Restores the congruence invariant by re-canonicalizing every node
-    /// and merging duplicates, to fixpoint.
-    fn rebuild(&mut self) {
-        loop {
-            let mut pending: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut memo: BTreeMap<ENode, NodeId> = BTreeMap::new();
-            for id in 0..self.nodes.len() {
-                let canon = self.canonicalize(&self.nodes[id].clone());
-                match memo.get(&canon) {
-                    Some(&other) if self.find(other) != self.find(id) => {
-                        pending.push((other, id));
-                    }
-                    Some(_) => {}
-                    None => {
-                        memo.insert(canon, id);
+    /// Links two distinct roots, keeping the smaller id as the root (for
+    /// determinism), and queues the losing root's users for repair.
+    fn link(&mut self, ra: ClassId, rb: ClassId, dirty: &mut Vec<NodeId>) {
+        let (keep, kill) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[kill] = keep;
+        let head = std::mem::replace(&mut self.use_head[kill], NIL);
+        if head == NIL {
+            return;
+        }
+        let mut link = head;
+        while link != NIL {
+            let (user, next) = self.use_links[link as usize];
+            dirty.push(user as usize);
+            link = next;
+        }
+        match self.use_tail[keep] {
+            NIL => self.use_head[keep] = head,
+            tail => self.use_links[tail as usize].1 = head,
+        }
+        self.use_tail[keep] = std::mem::replace(&mut self.use_tail[kill], NIL);
+    }
+
+    /// Re-canonicalizes the queued nodes, re-keying the memo and linking
+    /// the classes of nodes that collide, until no stale node remains.
+    /// Every node with a child in a killed class sits on that class's
+    /// use-list, so nothing stale escapes the worklist.
+    fn repair(&mut self, mut dirty: Vec<NodeId>) {
+        while let Some(n) = dirty.pop() {
+            let canon = self.canonicalize(&self.nodes[n]);
+            if canon == self.nodes[n] {
+                continue;
+            }
+            // The stale key names a killed class, so no lookup can reach
+            // it again; every node stored under it is queued as well.
+            let stale = std::mem::replace(&mut self.nodes[n], canon.clone());
+            self.memo.remove(&stale);
+            match self.memo.get(&canon) {
+                Some(&m) => {
+                    let (rm, rn) = (self.find_compress(m), self.find_compress(n));
+                    if rm != rn {
+                        self.link(rm, rn, &mut dirty);
                     }
                 }
-            }
-            if pending.is_empty() {
-                self.memo = memo;
-                return;
-            }
-            for (a, b) in pending {
-                let (ra, rb) = (self.find_compress(a), self.find_compress(b));
-                if ra != rb {
-                    let (keep, kill) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                    self.parent[kill] = keep;
+                None => {
+                    self.memo.insert(canon, n);
                 }
             }
         }
@@ -367,9 +416,59 @@ impl EGraph {
     }
 }
 
+/// The reference closure the incremental [`EGraph::union`] replaced,
+/// kept as a test-only oracle: link the two roots, then re-canonicalize
+/// every node and merge duplicates, to fixpoint.
+#[cfg(test)]
+impl EGraph {
+    fn union_paths_by_rebuild(&mut self, a: &Path, b: &Path) -> bool {
+        let ca = self.add_path(a);
+        let cb = self.add_path(b);
+        let (ra, rb) = (self.find_compress(ca), self.find_compress(cb));
+        if ra == rb {
+            return false;
+        }
+        let (keep, kill) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[kill] = keep;
+        self.rebuild();
+        true
+    }
+
+    fn rebuild(&mut self) {
+        loop {
+            let mut pending: Vec<(NodeId, NodeId)> = Vec::new();
+            let mut memo: BTreeMap<ENode, NodeId> = BTreeMap::new();
+            for id in 0..self.nodes.len() {
+                let canon = self.canonicalize(&self.nodes[id].clone());
+                match memo.get(&canon) {
+                    Some(&other) if self.find(other) != self.find(id) => {
+                        pending.push((other, id));
+                    }
+                    Some(_) => {}
+                    None => {
+                        memo.insert(canon, id);
+                    }
+                }
+            }
+            if pending.is_empty() {
+                self.memo = memo;
+                return;
+            }
+            for (a, b) in pending {
+                let (ra, rb) = (self.find_compress(a), self.find_compress(b));
+                if ra != rb {
+                    let (keep, kill) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                    self.parent[kill] = keep;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn none() -> BTreeSet<String> {
         BTreeSet::new()
@@ -493,6 +592,19 @@ mod tests {
     }
 
     #[test]
+    fn merged_use_lists_keep_propagating() {
+        // a.f is repaired when a joins b, and must still be repaired when
+        // b's class later joins c's: a.f = c.f by congruence.
+        let mut g = EGraph::new();
+        let cf = g.add_path(&Path::var("c").field("f"));
+        g.add_path(&Path::var("b"));
+        let af = g.add_path(&Path::var("a").field("f"));
+        g.union_paths(&Path::var("a"), &Path::var("b"));
+        g.union_paths(&Path::var("b"), &Path::var("c"));
+        assert_eq!(g.find(af), g.find(cf));
+    }
+
+    #[test]
     fn unions_are_deterministic() {
         let mut g1 = EGraph::new();
         g1.union_paths(&Path::var("a"), &Path::var("b"));
@@ -501,5 +613,106 @@ mod tests {
         let a1 = g1.add_path(&Path::var("a"));
         let a2 = g2.add_path(&Path::var("a"));
         assert_eq!(g1.extract(a1, &none()), g2.extract(a2, &none()));
+    }
+
+    // ---------- the incremental closure against the rebuild oracle ----------
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(Path),
+        Union(Path, Path),
+    }
+
+    const VARS: [&str; 4] = ["w", "x", "y", "z"];
+
+    /// Paths over a small vocabulary, so that terms and their
+    /// congruences collide often.
+    fn arb_path(depth: u32) -> impl Strategy<Value = Path> {
+        let leaf = prop_oneof![
+            prop::sample::select(VARS.to_vec()).prop_map(Path::var),
+            prop::sample::select(VARS.to_vec()).prop_map(Path::var),
+            prop::sample::select(vec!["R", "S"]).prop_map(Path::root),
+            (0..2i64).prop_map(Path::int),
+        ];
+        leaf.prop_recursive(depth, 10, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), prop::sample::select(vec!["A", "B"])).prop_map(|(p, f)| p.field(f)),
+                inner.clone().prop_map(Path::dom),
+                (inner.clone(), inner.clone()).prop_map(|(m, k)| m.get(k)),
+                (inner.clone(), inner).prop_map(|(m, k)| m.get_or_empty(k)),
+            ]
+        })
+    }
+
+    /// Deep terms are interned; unions mostly equate shallow ones, which
+    /// then propagate up through the deep terms by congruence.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            arb_path(3).prop_map(Op::Add),
+            (arb_path(1), arb_path(1)).prop_map(|(a, b)| Op::Union(a, b)),
+            (arb_path(1), arb_path(2)).prop_map(|(a, b)| Op::Union(a, b)),
+        ]
+    }
+
+    fn forbidden_of(mask: u8) -> BTreeSet<String> {
+        VARS.iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, v)| v.to_string())
+            .collect()
+    }
+
+    fn assert_same_graph(g: &EGraph, oracle: &EGraph, masks: &[u8]) {
+        assert_eq!(g.len(), oracle.len(), "node tables differ");
+        for id in 0..g.len() {
+            assert_eq!(g.find(id), oracle.find(id), "find({id}) differs");
+        }
+        assert_eq!(g.classes(), oracle.classes());
+        // One memo key per distinct canonical node, none stale.
+        assert!(g.memo.keys().eq(oracle.memo.keys()), "memo keys differ");
+        for &mask in masks {
+            let fb = forbidden_of(mask);
+            for class in g.classes() {
+                assert_eq!(
+                    g.extract(class, &fb),
+                    oracle.extract(class, &fb),
+                    "extract({class}) differs, forbidden {fb:?}"
+                );
+            }
+            assert_eq!(g.realizable_paths(&fb), oracle.realizable_paths(&fb));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving of interning and unions leaves the incremental
+        /// graph identical to the full-rebuild oracle: same node table,
+        /// same roots, same extractions under any forbidden set.
+        #[test]
+        fn incremental_union_matches_rebuild_oracle(
+            ops in prop::collection::vec(arb_op(), 1..24),
+            masks in prop::collection::vec(0..16u8, 1..4),
+        ) {
+            let mut g = EGraph::new();
+            let mut oracle = EGraph::new();
+            for op in &ops {
+                match op {
+                    Op::Add(p) => {
+                        prop_assert_eq!(g.add_path(p), oracle.add_path(p));
+                    }
+                    Op::Union(a, b) => {
+                        prop_assert_eq!(
+                            g.union_paths(a, b),
+                            oracle.union_paths_by_rebuild(a, b)
+                        );
+                    }
+                }
+                for id in 0..g.len() {
+                    prop_assert_eq!(g.find(id), oracle.find(id));
+                }
+            }
+            assert_same_graph(&g, &oracle, &masks);
+        }
     }
 }

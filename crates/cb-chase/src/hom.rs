@@ -65,9 +65,37 @@ pub fn find_matching_hom(
     limit: usize,
     accept: &mut dyn FnMut(&mut QueryGraph, &Assignment) -> bool,
 ) -> Option<Assignment> {
+    find_matching_hom_indexed(graph, bindings, eqs, init, limit, &mut |g, h, _| {
+        accept(g, h)
+    })
+}
+
+/// [`find_matching_hom`] whose `accept` also receives the indices into
+/// `graph.members` of the membership facts the bindings were matched
+/// to, in binding order. Facts are only ever appended, so with an empty
+/// `init` these indices identify the assignment for the graph's whole
+/// lifetime — the chase keys its satisfied-trigger memo on them.
+pub(crate) fn find_matching_hom_indexed(
+    graph: &mut QueryGraph,
+    bindings: &[Binding],
+    eqs: &[Equality],
+    init: &Assignment,
+    limit: usize,
+    accept: &mut dyn FnMut(&mut QueryGraph, &Assignment, &[usize]) -> bool,
+) -> Option<Assignment> {
     let mut h = init.clone();
+    let mut picked = Vec::with_capacity(bindings.len());
     let mut tested = 0usize;
-    search_first(graph, bindings, eqs, &mut h, 0, limit, &mut tested, accept)
+    search_first(
+        graph,
+        bindings,
+        eqs,
+        &mut h,
+        &mut picked,
+        limit,
+        &mut tested,
+        accept,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -76,17 +104,18 @@ fn search_first(
     bindings: &[Binding],
     eqs: &[Equality],
     h: &mut Assignment,
-    depth: usize,
+    picked: &mut Vec<usize>,
     limit: usize,
     tested: &mut usize,
-    accept: &mut dyn FnMut(&mut QueryGraph, &Assignment) -> bool,
+    accept: &mut dyn FnMut(&mut QueryGraph, &Assignment, &[usize]) -> bool,
 ) -> Option<Assignment> {
     if *tested >= limit {
         return None;
     }
+    let depth = picked.len();
     if depth == bindings.len() {
         *tested += 1;
-        if eqs_hold(graph, eqs, h, true) && accept(graph, h) {
+        if eqs_hold(graph, eqs, h, true) && accept(graph, h, picked) {
             return Some(h.clone());
         }
         return None;
@@ -103,22 +132,22 @@ fn search_first(
     let src = b.src.subst(h);
     let src_class = graph.egraph.add_path(&src);
     let src_class = graph.egraph.find(src_class);
-    let candidates: Vec<String> = graph
-        .members
-        .iter()
-        .filter(|m| graph.egraph.find(m.src_class) == src_class)
-        .map(|m| m.var.clone())
+    let candidates: Vec<usize> = (0..graph.members.len())
+        .filter(|&i| graph.egraph.find(graph.members[i].src_class) == src_class)
         .collect();
-    for var in candidates {
-        h.insert(b.var.clone(), Path::Var(var));
+    for i in candidates {
+        h.insert(b.var.clone(), Path::Var(graph.members[i].var.clone()));
+        picked.push(i);
         if eqs_hold(graph, eqs, h, false) {
             if let Some(found) =
-                search_first(graph, bindings, eqs, h, depth + 1, limit, tested, accept)
+                search_first(graph, bindings, eqs, h, picked, limit, tested, accept)
             {
+                picked.pop();
                 h.remove(&b.var);
                 return Some(found);
             }
         }
+        picked.pop();
         h.remove(&b.var);
         if *tested >= limit {
             return None;

@@ -36,7 +36,13 @@ pub fn implies(deps: &[Dependency], sigma: &Dependency, cfg: &ChaseConfig) -> bo
 /// conclusion — testing after *every* step, because the chase only ever
 /// adds facts (no coalescing happens mid-chase), so a witness found
 /// early persists to the fixpoint and the remaining steps are moot.
-pub(crate) fn implies_uncached(deps: &[Dependency], sigma: &Dependency, cfg: &ChaseConfig) -> bool {
+/// The chase's trigger extension checks are added to `trigger_checks`.
+pub(crate) fn implies_uncached(
+    deps: &[Dependency],
+    sigma: &Dependency,
+    cfg: &ChaseConfig,
+    trigger_checks: &mut u64,
+) -> bool {
     // The premise of σ, frozen as a query ("viewed as a boolean query").
     let premise = Query::new(
         Output::record(Vec::<(String, Path)>::new()),
@@ -52,14 +58,16 @@ pub(crate) fn implies_uncached(deps: &[Dependency], sigma: &Dependency, cfg: &Ch
         .map(|b| (b.var.clone(), Path::Var(b.var.clone())))
         .collect();
     let mut st = ChaseState::new(&premise);
-    loop {
+    let implied = loop {
         if extension_exists(&mut st.graph, &sigma.exists, &sigma.conclusion, &init) {
-            return true;
+            break true;
         }
         if !st.step(deps, cfg) {
-            return false;
+            break false;
         }
-    }
+    };
+    *trigger_checks += st.triggers.take_checks();
+    implied
 }
 
 #[cfg(test)]

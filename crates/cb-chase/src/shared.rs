@@ -114,7 +114,9 @@ impl MemoShard {
 
 /// Rough per-entry footprint of a memoized query (key or resumable
 /// state): a fixed overhead plus a per-AST-node constant. Only relative
-/// accuracy matters — the governor compares sums against a limit.
+/// accuracy matters — the governor compares sums against a limit. A
+/// parked state's e-graph and its satisfied-trigger memo are not
+/// counted; both grow with the query the estimate already scales with.
 fn approx_query_bytes(q: &Query) -> usize {
     64 + 48 * q.size()
 }
@@ -139,9 +141,12 @@ pub struct SharedChaseContext {
     /// [`CacheStats::pressure_sheds`]).
     byte_limit: usize,
     shards: Vec<Mutex<MemoShard>>,
-    /// Seeded-witness counter — the only stat not naturally owned by a
-    /// shard (it is incremented by the search loop, not a memo lookup).
+    /// Seeded-witness counter — not naturally owned by a shard (it is
+    /// incremented by the search loop, not a memo lookup).
     seeded_hom_hits: AtomicU64,
+    /// Trigger extension checks, counted where the chase steps run:
+    /// outside any shard lock.
+    trigger_checks: AtomicU64,
 }
 
 impl SharedChaseContext {
@@ -159,6 +164,7 @@ impl SharedChaseContext {
                 .map(|_| Mutex::new(MemoShard::default()))
                 .collect(),
             seeded_hom_hits: AtomicU64::new(0),
+            trigger_checks: AtomicU64::new(0),
         }
     }
 
@@ -393,6 +399,7 @@ impl SharedChaseContext {
         if entry.outcome.is_none() {
             while entry.state.step(&self.deps, &self.cfg) {}
             entry.outcome = Some(entry.state.finalize(&self.deps, &self.cfg));
+            self.note_trigger_checks(entry.state.triggers.take_checks());
         }
         let out = entry.outcome.clone().expect("outcome just finalized");
         if owned {
@@ -433,6 +440,7 @@ impl SharedChaseContext {
                 break false;
             }
         };
+        self.note_trigger_checks(entry.state.triggers.take_checks());
         if owned {
             self.park(idx, &chase_key, entry);
         }
@@ -490,7 +498,9 @@ impl SharedChaseContext {
             }
             shard.stats.implication_misses += 1;
         }
-        let v = implies_uncached(&self.deps, sigma, &self.cfg);
+        let mut checks = 0;
+        let v = implies_uncached(&self.deps, sigma, &self.cfg, &mut checks);
+        self.note_trigger_checks(checks);
         let mut guard = self.lock(idx);
         let shard = &mut *guard;
         shard.bytes += approx_dependency_bytes(&key);
@@ -510,14 +520,20 @@ impl SharedChaseContext {
         self.seeded_hom_hits.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn note_trigger_checks(&self, n: u64) {
+        self.trigger_checks.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Aggregated counters: the field-wise sum of every shard's
-    /// [`CacheStats`] plus the shared seeded-witness counter.
+    /// [`CacheStats`] plus the shared seeded-witness and trigger-check
+    /// counters.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for idx in 0..self.shards.len() {
             total.absorb(&self.lock(idx).stats);
         }
         total.seeded_hom_hits += self.seeded_hom_hits.load(Ordering::Relaxed);
+        total.trigger_checks += self.trigger_checks.load(Ordering::Relaxed);
         total
     }
 

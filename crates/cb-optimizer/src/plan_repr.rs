@@ -543,11 +543,17 @@ mod json {
         ReprError::Parse(format!("field {k:?}: expected {want}, got {got:?}"))
     }
 
+    /// The deepest array/object nesting a document may have. A plan
+    /// document nests a handful of levels; the limit turns hostile input
+    /// (`[[[[…`) into an error instead of a stack overflow.
+    pub const MAX_NESTING: usize = 128;
+
     /// Parse one document; trailing content is an error.
     pub fn parse(text: &str) -> Result<Obj, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -564,6 +570,8 @@ mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -597,8 +605,8 @@ mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') | Some(b'f') => self.boolean(),
                 Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
@@ -608,6 +616,20 @@ mod json {
                     self.pos
                 )),
             }
+        }
+
+        /// Parses an array or object one nesting level down.
+        fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+            if self.depth == MAX_NESTING {
+                return Err(format!(
+                    "nesting deeper than {MAX_NESTING} levels at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let v = f(self);
+            self.depth -= 1;
+            v
         }
 
         fn object(&mut self) -> Result<Value, String> {
@@ -815,6 +837,23 @@ mod tests {
     fn unknown_versions_are_refused() {
         let text = "{\"version\": 2, \"plan\": {}}";
         assert_eq!(PlanRepr::parse(text), Err(ReprError::Version(2)));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            match PlanRepr::parse(&deep) {
+                Err(ReprError::Parse(m)) => assert!(m.contains("nesting"), "{m}"),
+                other => panic!("deep document not rejected: {other:?}"),
+            }
+        }
+        // The outer object plus MAX_NESTING - 1 arrays is exactly at the
+        // limit and parses; one more array is refused.
+        let at = |n: usize| format!("{{\"a\": {}{}}}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&at(json::MAX_NESTING - 1)).is_ok());
+        assert!(json::parse(&at(json::MAX_NESTING))
+            .unwrap_err()
+            .contains("nesting"));
     }
 
     #[test]

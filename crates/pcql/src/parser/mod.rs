@@ -60,9 +60,19 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting the parser accepts: recursive descent into
+/// parenthesized, `dom(…)` and lookup sub-paths and into type arguments,
+/// plus the postfix steps of one path (each makes the path one level
+/// deeper). Every consumer of a parsed path recurses over it, so the
+/// limit keeps both the parser and them far from the end of the stack:
+/// hostile input is a [`ParseError`], never a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Current nesting, checked against [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -70,7 +80,17 @@ impl Parser {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Enters one more nesting level.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -122,21 +142,31 @@ impl Parser {
     // ---- paths (unresolved: all bare idents parse as variables) ----
 
     fn path(&mut self) -> Result<Path, ParseError> {
+        let depth = self.depth;
+        let p = self.path_steps();
+        self.depth = depth;
+        p
+    }
+
+    fn path_steps(&mut self) -> Result<Path, ParseError> {
         let mut p = self.primary()?;
         loop {
             match self.peek() {
                 Tok::Dot => {
+                    self.nest()?;
                     self.bump();
                     let field = self.eat_ident()?;
                     p = p.field(field);
                 }
                 Tok::LBracket => {
+                    self.nest()?;
                     self.bump();
                     let k = self.path()?;
                     self.eat(&Tok::RBracket)?;
                     p = p.get(k);
                 }
                 Tok::LBrace => {
+                    self.nest()?;
                     self.bump();
                     let k = self.path()?;
                     self.eat(&Tok::RBrace)?;
@@ -150,6 +180,7 @@ impl Parser {
     fn primary(&mut self) -> Result<Path, ParseError> {
         match self.peek().clone() {
             Tok::Dom => {
+                self.nest()?;
                 self.bump();
                 self.eat(&Tok::LParen)?;
                 let p = self.path()?;
@@ -157,6 +188,7 @@ impl Parser {
                 Ok(p.dom())
             }
             Tok::LParen => {
+                self.nest()?;
                 self.bump();
                 let p = self.path()?;
                 self.eat(&Tok::RParen)?;
@@ -309,6 +341,13 @@ impl Parser {
     // ---- schemas ----
 
     fn ty(&mut self) -> Result<Type, ParseError> {
+        self.nest()?;
+        let t = self.ty_args();
+        self.depth -= 1;
+        t
+    }
+
+    fn ty_args(&mut self) -> Result<Type, ParseError> {
         let name = self.eat_ident()?;
         match name.as_str() {
             "Int" => Ok(Type::Int),
@@ -616,6 +655,48 @@ mod tests {
         assert!(parse_schema("let x Int;").is_err());
         let e = parse_query("select x where x = ").unwrap_err();
         assert!(e.message.contains("expected a path"));
+    }
+
+    /// `select struct(A = <path>) from R x` with `path` nested `n` deep.
+    fn nested_query(open: &str, n: usize, inner: &str, close: &str) -> String {
+        format!(
+            "select struct(A = {}{inner}{}) from R x",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = nested_query("(", 30_000, "x", ")");
+        let e = parse_query(&deep).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        let e = parse_query(&nested_query("dom(", 30_000, "x", ")")).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        let e = parse_query(&format!("select x{} from R x", ".A".repeat(100_000))).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        let e = parse_path(&format!("{}M{}", "I[".repeat(30_000), "]".repeat(30_000))).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        let ty = format!(
+            "let r : {}Int{};",
+            "Set<".repeat(30_000),
+            ">".repeat(30_000)
+        );
+        assert!(parse_schema(&ty).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn nesting_just_under_the_limit_parses() {
+        // `x.A` inside n parentheses nests n + 1 levels.
+        let q = parse_query(&nested_query("(", MAX_NESTING - 1, "x.A", ")")).unwrap();
+        assert_eq!(q.output.paths()[0].1, &Path::var("x").field("A"));
+        assert!(parse_query(&nested_query("(", MAX_NESTING, "x.A", ")")).is_err());
+        let ty = format!(
+            "let r : {}Int{};",
+            "Set<".repeat(MAX_NESTING - 1),
+            ">".repeat(MAX_NESTING - 1)
+        );
+        assert!(parse_schema(&ty).is_ok());
     }
 
     #[test]

@@ -114,3 +114,92 @@ fn projdept_pipeline_hits_the_memo() {
         "lattice hom seeding unused: {cache:?}"
     );
 }
+
+// ---------- the chase's satisfied-trigger memo ----------
+
+/// The three paper scenarios, each as (name, catalog, query).
+fn paper_scenarios() -> Vec<(&'static str, cb_catalog::Catalog, Query)> {
+    use cb_catalog::scenarios::{projdept, relational_indexes, relational_views};
+    let mut pd = projdept::catalog();
+    projdept::stats_for(&mut pd, 100, 10, 20);
+    vec![
+        ("projdept", pd, projdept::query()),
+        (
+            "relational_indexes",
+            relational_indexes::catalog(),
+            relational_indexes::query(),
+        ),
+        (
+            "relational_views",
+            relational_views::catalog(),
+            relational_views::query(),
+        ),
+    ]
+}
+
+/// The chased query before coalescing: the input plus every step's
+/// bindings and conditions, in order.
+fn unreduced_chase(q: &Query, steps: &[cb_chase::ChaseStepTrace]) -> Query {
+    let mut out = q.clone();
+    for s in steps {
+        out.from.extend(s.added_bindings.iter().cloned());
+        out.where_.extend(s.added_eqs.iter().cloned());
+    }
+    out
+}
+
+#[test]
+fn no_trigger_is_extension_checked_twice_per_chase_state() {
+    // A complete chase must check every trigger of its final canonical
+    // database once (the confirming scan sees them all), and the memo
+    // keeps it from checking any trigger a second time — so the count is
+    // exactly the number of triggers at the fixpoint.
+    for (name, catalog, q) in paper_scenarios() {
+        let deps = catalog.all_constraints();
+        let mut ctx = ChaseContext::new(deps.clone(), ChaseConfig::default());
+        let out = ctx.chase(&q);
+        assert!(out.complete, "{name}: chase incomplete");
+        let mut graph = cb_chase::QueryGraph::of_query(&unreduced_chase(&q, &out.steps));
+        let triggers: usize = deps
+            .iter()
+            .map(|d| {
+                cb_chase::hom::find_homomorphisms(
+                    &mut graph,
+                    &d.forall,
+                    &d.premise,
+                    &Default::default(),
+                    usize::MAX,
+                )
+                .len()
+            })
+            .sum();
+        assert_eq!(
+            ctx.stats().trigger_checks,
+            triggers as u64,
+            "{name}: trigger checks vs distinct triggers at the fixpoint"
+        );
+    }
+}
+
+#[test]
+fn trigger_checks_are_pinned_on_the_paper_scenarios() {
+    // The whole sequential pipeline's trigger extension checks — a
+    // deterministic work counter that wall-clock noise cannot hide. A
+    // rise means the chase re-proves work it already did.
+    let config = cb_optimizer::OptimizerConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    let pinned = [
+        ("projdept", 17_714),
+        ("relational_indexes", 135),
+        ("relational_views", 804),
+    ];
+    for ((name, catalog, q), (pinned_name, checks)) in paper_scenarios().into_iter().zip(pinned) {
+        assert_eq!(name, pinned_name);
+        let out = cb_optimizer::Optimizer::with_config(&catalog, config.clone())
+            .optimize(&q)
+            .unwrap();
+        assert_eq!(out.cache.trigger_checks, checks, "{name}: {:?}", out.cache);
+    }
+}
